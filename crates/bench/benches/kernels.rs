@@ -15,34 +15,72 @@ use gcode_core::surrogate::{SurrogateAccuracy, SurrogateTask};
 use gcode_graph::datasets::PointCloudDataset;
 use gcode_graph::knn::knn_graph;
 use gcode_hardware::SystemConfig;
-use gcode_nn::agg::{aggregate, AggMode};
+use gcode_nn::agg::{aggregate, aggregate_forward, AggMode};
+use gcode_nn::pool::{global_pool, global_pool_forward, PoolMode};
 use gcode_sim::{simulate, SimBackend, SimConfig};
 use gcode_tensor::Matrix;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 
+/// Feature widths of the stream zoo's kNN and aggregation inputs.
+const STREAM_DIMS: [usize; 3] = [64, 128, 256];
+/// Points per cloud in the stream workload.
+const STREAM_NODES: usize = 256;
+
+/// Seeded ReLU'd features: about half the entries are exactly 0, so
+/// comparisons tie as often as they do after a real `Combine`.
+fn relu_features(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    Matrix::from_vec(
+        rows,
+        cols,
+        (0..rows * cols).map(|_| rng.gen_range(-1.0f32..1.0).max(0.0)).collect(),
+    )
+}
+
 fn bench_knn(c: &mut Criterion) {
-    let mut group = c.benchmark_group("knn_graph");
-    for &n in &[128usize, 512, 1024] {
-        let ds = PointCloudDataset::generate(1, n, 4, 1);
-        let pts = &ds.samples()[0].features;
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| knn_graph(black_box(pts), 20));
+    let mut group = c.benchmark_group("knn_graph_256_k20");
+    let ds = PointCloudDataset::generate(1, STREAM_NODES, 4, 1);
+    let pts = &ds.samples()[0].features;
+    group.bench_with_input(BenchmarkId::from_parameter("xyz"), pts, |b, x| {
+        b.iter(|| knn_graph(black_box(x), 20));
+    });
+    for d in STREAM_DIMS {
+        let x = relu_features(STREAM_NODES, d, d as u64);
+        group.bench_with_input(BenchmarkId::from_parameter(d), &x, |b, x| {
+            b.iter(|| knn_graph(black_box(x), 20));
         });
     }
     group.finish();
 }
 
 fn bench_aggregate(c: &mut Criterion) {
-    let ds = PointCloudDataset::generate(1, 1024, 4, 2);
-    let pts = &ds.samples()[0].features;
-    let g = knn_graph(pts, 20);
-    let x = Matrix::full(1024, 64, 0.5);
-    let mut group = c.benchmark_group("aggregate_1024x64_k20");
-    for mode in AggMode::ALL {
-        group.bench_with_input(BenchmarkId::from_parameter(mode), &mode, |b, &m| {
-            b.iter(|| aggregate(black_box(&g), black_box(&x), m));
+    for d in STREAM_DIMS {
+        let x = relu_features(STREAM_NODES, d, d as u64);
+        let g = knn_graph(&x, 20);
+        let mut group = c.benchmark_group(format!("aggregate_256x{d}_k20"));
+        for mode in AggMode::ALL {
+            group.bench_with_input(BenchmarkId::from_parameter(mode), &mode, |b, &m| {
+                b.iter(|| aggregate_forward(black_box(&g), black_box(&x), m));
+            });
+        }
+        group.bench_function("max_with_backward_cache", |b| {
+            b.iter(|| aggregate(black_box(&g), black_box(&x), AggMode::Max));
+        });
+        group.finish();
+    }
+}
+
+fn bench_global_pool(c: &mut Criterion) {
+    let mut group = c.benchmark_group("global_pool_max_256");
+    for d in [256usize, 1024] {
+        let x = relu_features(STREAM_NODES, d, d as u64);
+        group.bench_with_input(BenchmarkId::from_parameter(d), &x, |b, x| {
+            b.iter(|| global_pool_forward(black_box(x), PoolMode::Max));
+        });
+        group.bench_with_input(BenchmarkId::new("with_backward_cache", d), &x, |b, x| {
+            b.iter(|| global_pool(black_box(x), PoolMode::Max));
         });
     }
     group.finish();
@@ -118,6 +156,7 @@ criterion_group!(
     benches,
     bench_knn,
     bench_aggregate,
+    bench_global_pool,
     bench_matmul,
     bench_compress,
     bench_cost_models,

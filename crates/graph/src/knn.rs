@@ -10,16 +10,17 @@ use gcode_tensor::Matrix;
 use rand::Rng;
 
 /// Builds the directed k-NN graph of the rows of `features` under squared
-/// Euclidean distance. Node `u` points to its `k` nearest *other* nodes.
+/// Euclidean distance. Node `u` points to its `k` nearest *other* nodes,
+/// nearest first; for a graph with `n <= k` nodes every other node becomes
+/// a neighbor.
 ///
 /// Ties are broken by node index, which keeps the construction fully
 /// deterministic.
 ///
 /// # Panics
 ///
-/// Panics if `k >= features.rows()` and the matrix is non-empty with more
-/// than one row is required; for a graph with `n <= k` nodes every other
-/// node becomes a neighbor.
+/// Panics if a distance is NaN, as a NaN feature or two infinite
+/// features in one dimension produce.
 ///
 /// # Example
 ///
@@ -34,34 +35,39 @@ use rand::Rng;
 /// ```
 pub fn knn_graph(features: &Matrix, k: usize) -> CsrGraph {
     let n = features.rows();
+    let kk = k.min(n.saturating_sub(1));
+    // Squared distances from `u` to every `v` accumulate one dimension at a
+    // time over a transposed copy, so the inner loop runs over contiguous
+    // `v` and vectorizes; each pair still sums its dimensions in ascending
+    // order, so every distance has the bits of a per-pair loop.
+    let columns = features.transpose();
+    let mut sq = vec![0.0f32; n];
+    // Distances are sums of squares, never -0.0, so for non-NaN values the
+    // order of `(bits << 32) | v` is the order of `(distance, v)`.
+    let mut keys: Vec<u64> = Vec::with_capacity(n);
     let mut adj = Vec::with_capacity(n);
-    let mut dist: Vec<(f32, u32)> = Vec::with_capacity(n.saturating_sub(1));
     for u in 0..n {
-        dist.clear();
-        let fu = features.row(u);
-        for v in 0..n {
-            if v == u {
-                continue;
-            }
-            let fv = features.row(v);
-            let mut d = 0.0;
-            for (a, b) in fu.iter().zip(fv) {
-                let t = a - b;
-                d += t * t;
-            }
-            dist.push((d, v as u32));
-        }
-        let kk = k.min(dist.len());
         if kk == 0 {
             adj.push(Vec::new());
             continue;
         }
+        sq.fill(0.0);
+        for (j, &a) in features.row(u).iter().enumerate() {
+            for (d, &b) in sq.iter_mut().zip(columns.row(j)) {
+                let t = a - b;
+                *d += t * t;
+            }
+        }
+        keys.clear();
+        keys.extend(sq.iter().enumerate().filter(|&(v, _)| v != u).map(|(v, &d)| {
+            assert!(!d.is_nan(), "distances are finite");
+            u64::from(d.to_bits()) << 32 | v as u64
+        }));
         // Partial selection: only the first k entries need to be ordered.
-        let pivot = kk - 1;
-        dist.select_nth_unstable_by(pivot, |a, b| a.partial_cmp(b).expect("distances are finite"));
-        let mut chosen: Vec<(f32, u32)> = dist[..kk].to_vec();
-        chosen.sort_unstable_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
-        adj.push(chosen.into_iter().map(|(_, v)| v).collect());
+        keys.select_nth_unstable(kk - 1);
+        let chosen = &mut keys[..kk];
+        chosen.sort_unstable();
+        adj.push(chosen.iter().map(|&key| key as u32).collect());
     }
     CsrGraph::from_adjacency(adj)
 }
@@ -72,16 +78,22 @@ pub fn knn_graph(features: &Matrix, k: usize) -> CsrGraph {
 ///
 /// With `n <= k` nodes every other node becomes a neighbor.
 pub fn random_graph(n: usize, k: usize, rng: &mut impl Rng) -> CsrGraph {
+    let kk = k.min(n.saturating_sub(1));
     let mut adj = Vec::with_capacity(n);
+    // Which nodes the current node already chose; cleared after each node.
+    let mut seen = vec![false; n];
     for u in 0..n {
-        let kk = k.min(n.saturating_sub(1));
         let mut chosen = Vec::with_capacity(kk);
         // Reservoir-free rejection sampling is fine at these densities.
         while chosen.len() < kk {
-            let v = rng.gen_range(0..n) as u32;
-            if v as usize != u && !chosen.contains(&v) {
-                chosen.push(v);
+            let v = rng.gen_range(0..n);
+            if v != u && !seen[v] {
+                seen[v] = true;
+                chosen.push(v as u32);
             }
+        }
+        for &v in &chosen {
+            seen[v as usize] = false;
         }
         adj.push(chosen);
     }
@@ -100,7 +112,7 @@ pub fn knn_flops(n: usize, d: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn grid_points() -> Matrix {
@@ -150,6 +162,65 @@ mod tests {
         let g = knn_graph(&Matrix::zeros(0, 3), 4);
         assert_eq!(g.num_nodes(), 0);
         assert_eq!(g.num_edges(), 0);
+    }
+
+    /// The per-pair loop `knn_graph` used before the transposed
+    /// accumulation, kept as the bit-level reference.
+    fn reference_knn(features: &Matrix, k: usize) -> CsrGraph {
+        let n = features.rows();
+        let mut adj = Vec::with_capacity(n);
+        for u in 0..n {
+            let mut dist: Vec<(f32, u32)> = Vec::new();
+            for v in (0..n).filter(|&v| v != u) {
+                let mut d = 0.0;
+                for (a, b) in features.row(u).iter().zip(features.row(v)) {
+                    let t = a - b;
+                    d += t * t;
+                }
+                dist.push((d, v as u32));
+            }
+            dist.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
+            adj.push(dist.into_iter().take(k).map(|(_, v)| v).collect());
+        }
+        CsrGraph::from_adjacency(adj)
+    }
+
+    /// ReLU'd features with exact ties, both signed zeros, all-zero rows,
+    /// duplicated points, and rotated copies of earlier points: a rotation
+    /// is exactly as far from the origin in real arithmetic, so only the
+    /// per-pair summation order decides which of the two ranks first.
+    fn tricky_points(n: usize, d: usize, seed: u64) -> Matrix {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut m = Matrix::zeros(n, d);
+        for u in 0..n {
+            let kind = rng.gen_range(0..10);
+            if u > 0 && kind < 4 {
+                let mut src = m.row(rng.gen_range(0..u)).to_vec();
+                src.rotate_left(kind as usize % d.max(1));
+                m.row_mut(u).copy_from_slice(&src);
+            } else if kind > 4 {
+                for x in m.row_mut(u) {
+                    *x = match rng.gen_range(0..10) {
+                        0 => -0.0,
+                        1..=3 => 0.5,
+                        _ => rng.gen_range(-1.0f32..1.0).max(0.0),
+                    };
+                }
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn knn_matches_per_pair_reference() {
+        for (case, &(n, d, k)) in
+            [(1, 3, 4), (2, 1, 20), (5, 3, 4), (21, 8, 20), (64, 3, 20), (64, 64, 20), (40, 17, 1)]
+                .iter()
+                .enumerate()
+        {
+            let x = tricky_points(n, d, case as u64);
+            assert_eq!(knn_graph(&x, k), reference_knn(&x, k), "case {case}: n={n} d={d} k={k}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Neighborhood aggregation over a CSR graph, with backward pass.
 
 use gcode_graph::CsrGraph;
-use gcode_tensor::Matrix;
+use gcode_tensor::{ops, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// Reduction applied over each node's neighborhood — the `Aggregate`
@@ -43,6 +43,8 @@ pub struct AggCache {
 /// Aggregates neighbor features: `out[u] = reduce({ x[v] : v ∈ N(u) })`.
 ///
 /// Returns the aggregated features and a cache for the backward pass.
+/// Inference should call [`aggregate_forward`], which computes the same
+/// bits without the `Max` argmax bookkeeping.
 ///
 /// # Panics
 ///
@@ -62,47 +64,69 @@ pub struct AggCache {
 /// assert_eq!(out[(1, 0)], 0.0); // node 1 has no neighbors
 /// ```
 pub fn aggregate(graph: &CsrGraph, x: &Matrix, mode: AggMode) -> (Matrix, AggCache) {
+    let mut argmax = (mode == AggMode::Max).then(|| vec![u32::MAX; x.len()]);
+    let out = reduce_neighbors(graph, x, mode, argmax.as_deref_mut());
+    (out, AggCache { mode, argmax })
+}
+
+/// [`aggregate`] for inference: the same output bits, no backward cache.
+///
+/// # Panics
+///
+/// Panics if `graph.num_nodes() != x.rows()`.
+pub fn aggregate_forward(graph: &CsrGraph, x: &Matrix, mode: AggMode) -> Matrix {
+    reduce_neighbors(graph, x, mode, None)
+}
+
+/// The one aggregation loop. Each neighbor's contiguous feature row is
+/// folded into the node's output row in CSR order: `Add`/`Mean` sum it,
+/// `Max` keeps a strictly greater value starting from `-inf`, so the
+/// first neighbor wins ties. Isolated nodes stay 0. `argmax`, when given
+/// (`n·d`, preset to `u32::MAX`), records the winning neighbor per
+/// (node, feature).
+fn reduce_neighbors(
+    graph: &CsrGraph,
+    x: &Matrix,
+    mode: AggMode,
+    mut argmax: Option<&mut [u32]>,
+) -> Matrix {
     assert_eq!(graph.num_nodes(), x.rows(), "graph/features node count mismatch");
     let (n, d) = x.shape();
     let mut out = Matrix::zeros(n, d);
-    let mut argmax = if mode == AggMode::Max { Some(vec![u32::MAX; n * d]) } else { None };
     for u in 0..n {
         let neighbors = graph.neighbors(u);
         if neighbors.is_empty() {
             continue;
         }
+        let dst = out.row_mut(u);
         match mode {
             AggMode::Add | AggMode::Mean => {
                 for &v in neighbors {
-                    let src = x.row(v as usize);
-                    let dst = out.row_mut(u);
-                    for (o, s) in dst.iter_mut().zip(src) {
+                    for (o, s) in dst.iter_mut().zip(x.row(v as usize)) {
                         *o += s;
                     }
                 }
                 if mode == AggMode::Mean {
                     let inv = 1.0 / neighbors.len() as f32;
-                    for o in out.row_mut(u) {
+                    for o in dst {
                         *o *= inv;
                     }
                 }
             }
             AggMode::Max => {
-                let am = argmax.as_mut().expect("argmax allocated for Max");
-                for (j, o) in out.row_mut(u).iter_mut().enumerate() {
-                    *o = f32::NEG_INFINITY;
-                    for &v in neighbors {
-                        let val = x[(v as usize, j)];
-                        if val > *o {
-                            *o = val;
-                            am[u * d + j] = v;
-                        }
+                dst.fill(f32::NEG_INFINITY);
+                let mut arg = argmax.as_deref_mut().map(|am| &mut am[u * d..(u + 1) * d]);
+                for &v in neighbors {
+                    let src = x.row(v as usize);
+                    match arg.as_deref_mut() {
+                        Some(arg) => ops::max_into_arg(dst, arg, src, v),
+                        None => ops::max_into(dst, src),
                     }
                 }
             }
         }
     }
-    (out, AggCache { mode, argmax })
+    out
 }
 
 /// Backward pass of [`aggregate`]: routes `gout` back to the neighbor
@@ -148,7 +172,7 @@ pub fn aggregate_backward(graph: &CsrGraph, cache: &AggCache, gout: &Matrix) -> 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn chain3() -> CsrGraph {
@@ -239,6 +263,84 @@ mod tests {
                     gx[(i, j)]
                 );
             }
+        }
+    }
+
+    /// ReLU'd features drawn with many exact ties, both signed zeros, and
+    /// a sprinkling of `-inf` and NaN to pin down the comparison rules.
+    pub(crate) fn tricky_features(rows: usize, cols: usize, seed: u64) -> Matrix {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let data = (0..rows * cols)
+            .map(|_| match rng.gen_range(0..40) {
+                0..=9 => -0.0,
+                10 => f32::NEG_INFINITY,
+                11 => f32::NAN,
+                12..=17 => 0.75,
+                18..=19 => 2.0,
+                _ => rng.gen_range(-1.0f32..1.0).max(0.0),
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    /// The column-strided Max loop the row-major kernel replaced, kept as
+    /// the bit-level reference.
+    fn reference_max(graph: &CsrGraph, x: &Matrix) -> (Matrix, Vec<u32>) {
+        let (n, d) = x.shape();
+        let mut out = Matrix::zeros(n, d);
+        let mut am = vec![u32::MAX; n * d];
+        for u in 0..n {
+            let neighbors = graph.neighbors(u);
+            if neighbors.is_empty() {
+                continue;
+            }
+            for j in 0..d {
+                out[(u, j)] = f32::NEG_INFINITY;
+                for &v in neighbors {
+                    let val = x[(v as usize, j)];
+                    if val > out[(u, j)] {
+                        out[(u, j)] = val;
+                        am[u * d + j] = v;
+                    }
+                }
+            }
+        }
+        (out, am)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn max_matches_column_major_reference_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
+        for (case, &(n, d)) in [(1usize, 3), (2, 1), (9, 5), (40, 17), (64, 64)].iter().enumerate()
+        {
+            // Random multi-edges and self-loops; the last two nodes stay
+            // isolated.
+            let sources = n.saturating_sub(2).max(1);
+            let edges: Vec<(u32, u32)> = (0..n * 6)
+                .map(|_| (rng.gen_range(0..sources) as u32, rng.gen_range(0..n) as u32))
+                .collect();
+            let g = CsrGraph::from_edges(n, &edges);
+            let x = tricky_features(n, d, case as u64);
+            let (want, want_am) = reference_max(&g, &x);
+            let (got, cache) = aggregate(&g, &x, AggMode::Max);
+            assert_eq!(bits(&got), bits(&want), "case {case} output");
+            assert_eq!(cache.argmax.as_deref(), Some(&want_am[..]), "case {case} argmax");
+            assert_eq!(bits(&aggregate_forward(&g, &x, AggMode::Max)), bits(&want));
+        }
+    }
+
+    #[test]
+    fn forward_only_matches_cached_for_every_mode() {
+        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 1), (1, 3), (2, 2)]);
+        let x = tricky_features(4, 6, 7);
+        for mode in AggMode::ALL {
+            assert_eq!(bits(&aggregate_forward(&g, &x, mode)), bits(&aggregate(&g, &x, mode).0));
         }
     }
 

@@ -1,6 +1,6 @@
 //! Global graph pooling (readout), with backward pass.
 
-use gcode_tensor::Matrix;
+use gcode_tensor::{ops, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// Global readout over all nodes — the `GlobalPooling` operation's function
@@ -37,10 +37,14 @@ pub struct PoolCache {
     mode: PoolMode,
     n: usize,
     /// For `Max`: row index chosen per feature column.
-    argmax: Option<Vec<usize>>,
+    argmax: Option<Vec<u32>>,
 }
 
 /// Pools `n × d` node features into a `1 × d` graph feature.
+///
+/// Returns the pooled feature and a cache for the backward pass.
+/// Inference should call [`global_pool_forward`], which computes the same
+/// bits without the `Max` argmax bookkeeping.
 ///
 /// # Example
 ///
@@ -54,25 +58,26 @@ pub struct PoolCache {
 /// ```
 pub fn global_pool(x: &Matrix, mode: PoolMode) -> (Matrix, PoolCache) {
     let (n, d) = x.shape();
-    let out = match mode {
+    if mode == PoolMode::Max && n > 0 {
+        // The fold of `Matrix::max_rows`, also recording the first row
+        // that reached each column's maximum.
+        let mut best = x.row(0).to_vec();
+        let mut idx = vec![0u32; d];
+        for i in 1..n {
+            ops::max_into_arg(&mut best, &mut idx, x.row(i), i as u32);
+        }
+        return (Matrix::from_vec(1, d, best), PoolCache { mode, n, argmax: Some(idx) });
+    }
+    (global_pool_forward(x, mode), PoolCache { mode, n, argmax: None })
+}
+
+/// [`global_pool`] for inference: the same output bits, no backward cache.
+pub fn global_pool_forward(x: &Matrix, mode: PoolMode) -> Matrix {
+    match mode {
         PoolMode::Sum => x.sum_rows(),
         PoolMode::Mean => x.mean_rows(),
         PoolMode::Max => x.max_rows(),
-    };
-    let argmax = if mode == PoolMode::Max && n > 0 {
-        let mut idx = vec![0usize; d];
-        for (j, slot) in idx.iter_mut().enumerate() {
-            for i in 1..n {
-                if x[(i, j)] > x[(*slot, j)] {
-                    *slot = i;
-                }
-            }
-        }
-        Some(idx)
-    } else {
-        None
-    };
-    (out, PoolCache { mode, n, argmax })
+    }
 }
 
 /// Backward pass of [`global_pool`]; `gout` is `1 × d`.
@@ -101,7 +106,7 @@ pub fn global_pool_backward(cache: &PoolCache, gout: &Matrix) -> Matrix {
         PoolMode::Max => {
             if let Some(idx) = &cache.argmax {
                 for j in 0..d {
-                    gx[(idx[j], j)] = gout[(0, j)];
+                    gx[(idx[j] as usize, j)] = gout[(0, j)];
                 }
             }
         }
@@ -160,6 +165,40 @@ mod tests {
         assert_eq!(gx.row(1), &[1.0, 0.0]); // col 0 max is row 1
         assert_eq!(gx.row(2), &[0.0, 1.0]); // col 1 max is row 2
         assert_eq!(gx.row(0), &[0.0, 0.0]);
+    }
+
+    /// The column-major argmax pass the row-major fold replaced, kept as
+    /// the bit-level reference.
+    fn reference_argmax(x: &Matrix) -> Vec<u32> {
+        let mut idx = vec![0u32; x.cols()];
+        for (j, slot) in idx.iter_mut().enumerate() {
+            for i in 1..x.rows() {
+                if x[(i, j)] > x[(*slot as usize, j)] {
+                    *slot = i as u32;
+                }
+            }
+        }
+        idx
+    }
+
+    #[test]
+    fn max_matches_column_major_reference_bit_for_bit() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (case, &(n, d)) in
+            [(0, 4), (1, 3), (2, 8), (3, 16), (5, 32), (37, 5), (256, 64)].iter().enumerate()
+        {
+            let x = crate::agg::tests::tricky_features(n, d, 100 + case as u64);
+            let (out, cache) = global_pool(&x, PoolMode::Max);
+            assert_eq!(bits(&out), bits(&x.max_rows()), "case {case} output");
+            assert_eq!(bits(&global_pool_forward(&x, PoolMode::Max)), bits(&out));
+            let want = (n > 0).then(|| reference_argmax(&x));
+            assert_eq!(cache.argmax, want, "case {case} argmax");
+            if n > 0 {
+                let picked: Vec<f32> =
+                    (0..d).map(|j| x[(want.as_ref().unwrap()[j] as usize, j)]).collect();
+                assert_eq!(bits(&out), bits(&Matrix::from_vec(1, d, picked)), "case {case}");
+            }
+        }
     }
 
     #[test]

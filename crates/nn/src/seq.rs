@@ -9,9 +9,9 @@
 //! that place the same function at the same slot *share* weights — the
 //! paper's one-shot decoupling of supernet training from search (Sec. 3.1).
 
-use crate::agg::{aggregate, aggregate_backward, AggCache, AggMode};
+use crate::agg::{aggregate, aggregate_backward, aggregate_forward, AggCache, AggMode};
 use crate::linear::Linear;
-use crate::pool::{global_pool, global_pool_backward, PoolCache, PoolMode};
+use crate::pool::{global_pool, global_pool_backward, global_pool_forward, PoolCache, PoolMode};
 use gcode_graph::knn::{knn_graph, random_graph};
 use gcode_graph::CsrGraph;
 use gcode_tensor::{loss, ops, Matrix};
@@ -123,12 +123,11 @@ pub struct GraphInput<'a> {
     pub graph: Option<&'a CsrGraph>,
 }
 
+/// What one op's backward pass needs, recorded only by [`train_step`].
 enum StepCache {
-    Graph,
     Agg { graph: CsrGraph, cache: AggCache },
     Combine { key: (usize, usize, usize), x: Matrix, pre: Matrix },
     Pool(PoolCache),
-    Identity,
 }
 
 /// Executes `specs` over `input` using shared weights from `bank`,
@@ -186,37 +185,7 @@ pub fn forward_features_slotted(
     rng: &mut impl Rng,
 ) -> (Matrix, Option<CsrGraph>) {
     assert_eq!(specs.len(), slots.len(), "one weight slot per op");
-    let mut h = input.features.clone();
-    let mut graph: Option<CsrGraph> = input.graph.cloned();
-    for (spec, &slot) in specs.iter().zip(slots) {
-        match *spec {
-            LayerSpec::BuildKnn { k } => graph = Some(knn_graph(&h, k)),
-            LayerSpec::BuildRandom { k } => graph = Some(random_graph(h.rows(), k, rng)),
-            LayerSpec::Aggregate(mode) => {
-                let g = graph.clone().unwrap_or_else(|| knn_graph(&h, default_k(h.rows())));
-                h = aggregate(&g, &h, mode).0;
-                graph = Some(g);
-            }
-            LayerSpec::Combine { out_dim } => {
-                let lin = bank.combine_mut(slot, h.cols(), out_dim);
-                h = ops::relu(&lin.forward(&h));
-            }
-            LayerSpec::GlobalPool(mode) => {
-                h = global_pool(&h, mode).0;
-                graph = None;
-            }
-            LayerSpec::Identity => {}
-            LayerSpec::FusedAggregateCombine { mode, out_dim } => {
-                // Same float-op order as the unfused Aggregate + Combine
-                // pair, with the Combine's slot keying the weights.
-                let g = graph.clone().unwrap_or_else(|| knn_graph(&h, default_k(h.rows())));
-                h = aggregate(&g, &h, mode).0;
-                graph = Some(g);
-                let lin = bank.combine_mut(slot, h.cols(), out_dim);
-                h = ops::relu(&lin.forward(&h));
-            }
-        }
-    }
+    let (h, graph, _) = execute(specs, slots, input, bank, rng, None);
     (h, graph)
 }
 
@@ -224,7 +193,7 @@ pub fn forward_features_slotted(
 /// [`forward_features`]: node-level features are mean-pooled first, a
 /// pooled `1 × d` vector goes straight to the `d`-keyed classifier head.
 pub fn classify(h: &Matrix, bank: &mut WeightBank) -> Matrix {
-    let pooled = if h.rows() > 1 { global_pool(h, PoolMode::Mean).0 } else { h.clone() };
+    let pooled = if h.rows() > 1 { global_pool_forward(h, PoolMode::Mean) } else { h.clone() };
     bank.classifier_mut(pooled.cols()).forward(&pooled)
 }
 
@@ -238,7 +207,8 @@ pub fn train_step(
     lr: f32,
     rng: &mut impl Rng,
 ) -> f32 {
-    let (logits, caches, pooled_in) = run(specs, input, bank, rng, Some(()));
+    let mut caches = Vec::with_capacity(specs.len());
+    let (logits, pooled_in) = run(specs, input, bank, rng, Some(&mut caches));
     let (loss_value, glogits) = loss::cross_entropy(&logits, &[label]);
 
     // Classifier backward.
@@ -251,7 +221,6 @@ pub fn train_step(
     // Walk the caches in reverse.
     for step in caches.into_iter().rev() {
         match step {
-            StepCache::Graph | StepCache::Identity => {}
             StepCache::Agg { graph, cache } => {
                 g = aggregate_backward(&graph, &cache, &g);
             }
@@ -270,100 +239,111 @@ pub fn train_step(
     loss_value
 }
 
+/// Monolithic execution with the trailing readout and classifier: each op
+/// keyed by its position. Returns the logits and the classifier's input.
 fn run(
     specs: &[LayerSpec],
     input: GraphInput<'_>,
     bank: &mut WeightBank,
     rng: &mut impl Rng,
-    record: Option<()>,
-) -> (Matrix, Vec<StepCache>, Matrix) {
+    mut caches: Option<&mut Vec<StepCache>>,
+) -> (Matrix, Matrix) {
+    let slots: Vec<usize> = (0..specs.len()).collect();
+    let (mut h, _, pooled) = execute(specs, &slots, input, bank, rng, caches.as_deref_mut());
+    if !pooled {
+        h = pool_step(&h, PoolMode::Mean, caches);
+    }
+    let logits = bank.classifier_mut(h.cols()).forward(&h);
+    (logits, h)
+}
+
+/// The one executor loop, shared by inference and training. With
+/// `caches`, every op that has a backward pass records what it needs;
+/// without, no backward state is built and the live graph is borrowed,
+/// never cloned. Returns the features, the live graph and whether a
+/// `GlobalPool` ran.
+fn execute(
+    specs: &[LayerSpec],
+    slots: &[usize],
+    input: GraphInput<'_>,
+    bank: &mut WeightBank,
+    rng: &mut impl Rng,
+    mut caches: Option<&mut Vec<StepCache>>,
+) -> (Matrix, Option<CsrGraph>, bool) {
     let mut h = input.features.clone();
     let mut graph: Option<CsrGraph> = input.graph.cloned();
-    let mut caches = Vec::with_capacity(specs.len());
     let mut pooled = false;
-
-    for (slot, spec) in specs.iter().enumerate() {
+    for (spec, &slot) in specs.iter().zip(slots) {
         match *spec {
-            LayerSpec::BuildKnn { k } => {
-                graph = Some(knn_graph(&h, k));
-                if record.is_some() {
-                    caches.push(StepCache::Graph);
-                }
-            }
-            LayerSpec::BuildRandom { k } => {
-                graph = Some(random_graph(h.rows(), k, rng));
-                if record.is_some() {
-                    caches.push(StepCache::Graph);
-                }
-            }
+            LayerSpec::BuildKnn { k } => graph = Some(knn_graph(&h, k)),
+            LayerSpec::BuildRandom { k } => graph = Some(random_graph(h.rows(), k, rng)),
             LayerSpec::Aggregate(mode) => {
-                let g = graph.clone().unwrap_or_else(|| knn_graph(&h, default_k(h.rows())));
-                let (out, cache) = aggregate(&g, &h, mode);
-                h = out;
-                if record.is_some() {
-                    caches.push(StepCache::Agg { graph: g.clone(), cache });
-                }
-                graph = Some(g);
+                h = aggregate_step(&mut graph, &h, mode, caches.as_deref_mut());
             }
             LayerSpec::Combine { out_dim } => {
-                let key = (slot, h.cols(), out_dim);
-                let lin = bank.combine_mut(key.0, key.1, key.2);
-                let pre = lin.forward(&h);
-                let out = ops::relu(&pre);
-                if record.is_some() {
-                    caches.push(StepCache::Combine { key, x: h.clone(), pre });
-                }
-                h = out;
+                h = combine_step(bank, (slot, h.cols(), out_dim), h, caches.as_deref_mut());
             }
             LayerSpec::GlobalPool(mode) => {
-                let (out, cache) = global_pool(&h, mode);
-                h = out;
+                h = pool_step(&h, mode, caches.as_deref_mut());
                 pooled = true;
                 // Pooling invalidates the node-level graph.
                 graph = None;
-                if record.is_some() {
-                    caches.push(StepCache::Pool(cache));
-                }
             }
-            LayerSpec::Identity => {
-                if record.is_some() {
-                    caches.push(StepCache::Identity);
-                }
-            }
+            LayerSpec::Identity => {}
             LayerSpec::FusedAggregateCombine { mode, out_dim } => {
-                // The train/monolithic path never sees fused ops (only the
-                // plan optimizer emits them), but stays total: aggregate
-                // then combine at this positional slot, two caches.
-                let g = graph.clone().unwrap_or_else(|| knn_graph(&h, default_k(h.rows())));
-                let (out, cache) = aggregate(&g, &h, mode);
-                h = out;
-                if record.is_some() {
-                    caches.push(StepCache::Agg { graph: g.clone(), cache });
-                }
-                graph = Some(g);
-                let key = (slot, h.cols(), out_dim);
-                let lin = bank.combine_mut(key.0, key.1, key.2);
-                let pre = lin.forward(&h);
-                let out = ops::relu(&pre);
-                if record.is_some() {
-                    caches.push(StepCache::Combine { key, x: h.clone(), pre });
-                }
-                h = out;
+                // Same float-op order as the unfused Aggregate + Combine
+                // pair, with the Combine's slot keying the weights.
+                h = aggregate_step(&mut graph, &h, mode, caches.as_deref_mut());
+                h = combine_step(bank, (slot, h.cols(), out_dim), h, caches.as_deref_mut());
             }
         }
     }
+    (h, graph, pooled)
+}
 
-    if !pooled {
-        let (out, cache) = global_pool(&h, PoolMode::Mean);
-        h = out;
-        if record.is_some() {
-            caches.push(StepCache::Pool(cache));
+/// Aggregates over the live graph, building the default k-NN graph first
+/// when no `Sample` op has run.
+fn aggregate_step(
+    graph: &mut Option<CsrGraph>,
+    h: &Matrix,
+    mode: AggMode,
+    caches: Option<&mut Vec<StepCache>>,
+) -> Matrix {
+    let g = graph.get_or_insert_with(|| knn_graph(h, default_k(h.rows())));
+    match caches {
+        Some(caches) => {
+            let (out, cache) = aggregate(g, h, mode);
+            caches.push(StepCache::Agg { graph: g.clone(), cache });
+            out
         }
+        None => aggregate_forward(g, h, mode),
     }
+}
 
-    let pooled_in = h.clone();
-    let logits = bank.classifier_mut(h.cols()).forward(&h);
-    (logits, caches, pooled_in)
+/// Linear + ReLU with the weights keyed by `key = (slot, in, out)`.
+fn combine_step(
+    bank: &mut WeightBank,
+    key: (usize, usize, usize),
+    h: Matrix,
+    caches: Option<&mut Vec<StepCache>>,
+) -> Matrix {
+    let pre = bank.combine_mut(key.0, key.1, key.2).forward(&h);
+    let out = ops::relu(&pre);
+    if let Some(caches) = caches {
+        caches.push(StepCache::Combine { key, x: h, pre });
+    }
+    out
+}
+
+fn pool_step(h: &Matrix, mode: PoolMode, caches: Option<&mut Vec<StepCache>>) -> Matrix {
+    match caches {
+        Some(caches) => {
+            let (out, cache) = global_pool(h, mode);
+            caches.push(StepCache::Pool(cache));
+            out
+        }
+        None => global_pool_forward(h, mode),
+    }
 }
 
 fn default_k(n: usize) -> usize {

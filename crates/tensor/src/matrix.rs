@@ -331,18 +331,15 @@ impl Matrix {
     /// Column-wise maximum, producing a `1 × cols` matrix.
     ///
     /// Empty input yields zeros (the natural identity for the pooled feature).
+    /// Rows fold in order through [`crate::ops::max_into`], so the first
+    /// row wins ties.
     pub fn max_rows(&self) -> Matrix {
         if self.rows == 0 {
             return Matrix::zeros(1, self.cols);
         }
         let mut out = Matrix::from_vec(1, self.cols, self.row(0).to_vec());
         for i in 1..self.rows {
-            for j in 0..self.cols {
-                let v = self.data[i * self.cols + j];
-                if v > out.data[j] {
-                    out.data[j] = v;
-                }
-            }
+            crate::ops::max_into(&mut out.data, self.row(i));
         }
         out
     }
@@ -483,6 +480,40 @@ mod tests {
         assert_eq!(a.sum_rows(), Matrix::zeros(1, 3));
         assert_eq!(a.mean_rows(), Matrix::zeros(1, 3));
         assert_eq!(a.max_rows(), Matrix::zeros(1, 3));
+    }
+
+    #[test]
+    fn max_rows_matches_indexed_reference_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+        // Mostly signed zeros, so column maxima tie often; `spread` is the
+        // share of ReLU'd uniform values mixed in.
+        let pool = [0.0, -0.0, -0.0, 0.5, f32::NEG_INFINITY, f32::NAN];
+        for &(rows, cols, spread) in
+            &[(1, 5, 0.5), (2, 3, 0.5), (9, 64, 0.0), (33, 7, 0.1), (256, 64, 0.5)]
+        {
+            let data = (0..rows * cols)
+                .map(|_| {
+                    if rng.gen_bool(spread) {
+                        rng.gen_range(-1.0f32..1.0).max(0.0)
+                    } else {
+                        pool[rng.gen_range(0..pool.len())]
+                    }
+                })
+                .collect();
+            let a = Matrix::from_vec(rows, cols, data);
+            // The per-index loop `max_rows` used before the row fold.
+            let mut want = a.row(0).to_vec();
+            for i in 1..rows {
+                for (j, w) in want.iter_mut().enumerate() {
+                    if a[(i, j)] > *w {
+                        *w = a[(i, j)];
+                    }
+                }
+            }
+            let got: Vec<u32> = a.max_rows().as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        }
     }
 
     #[test]

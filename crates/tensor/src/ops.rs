@@ -15,6 +15,41 @@ pub fn relu(m: &Matrix) -> Matrix {
     m.map(|x| x.max(0.0))
 }
 
+/// Folds `src` into the running elementwise maximum `acc`: a slot takes
+/// `src[j]` only when it is strictly greater, so the earlier value wins
+/// ties (`+0.0` vs `-0.0` included), a NaN in `src` never wins and a NaN
+/// already in `acc` stays. The select is branch-free, so the loop
+/// vectorizes over contiguous rows.
+///
+/// # Example
+///
+/// ```
+/// use gcode_tensor::ops;
+/// let mut acc = [1.0, 5.0];
+/// ops::max_into(&mut acc, &[3.0, 2.0]);
+/// assert_eq!(acc, [3.0, 5.0]);
+/// ```
+#[inline]
+pub fn max_into(acc: &mut [f32], src: &[f32]) {
+    for (o, &s) in acc.iter_mut().zip(src) {
+        *o = if s > *o { s } else { *o };
+    }
+}
+
+/// [`max_into`] that also writes `idx` into `arg[j]` wherever `src[j]`
+/// wins, so `arg` ends up holding the first row that reached each
+/// maximum — the argmax a backward pass routes gradients to.
+#[inline]
+pub fn max_into_arg(acc: &mut [f32], arg: &mut [u32], src: &[f32], idx: u32) {
+    for ((o, a), &s) in acc.iter_mut().zip(arg).zip(src) {
+        // All ones where `src` loses. A mask rather than a second `if`
+        // keeps the loop branch-free, so it vectorizes.
+        let loses = u32::from(s > *o).wrapping_sub(1);
+        *o = if s > *o { s } else { *o };
+        *a = (*a & loses) | (idx & !loses);
+    }
+}
+
 /// Gradient mask of ReLU: 1 where the forward input was positive, else 0.
 pub fn relu_grad_mask(forward_input: &Matrix) -> Matrix {
     forward_input.map(|x| if x > 0.0 { 1.0 } else { 0.0 })
